@@ -17,9 +17,11 @@
 #                the PR; the fresh snapshot is still uploaded as an
 #                artifact alongside the bench-smoke snapshot
 #   determinism  `make determinism` — renders every figure/table twice,
-#                once on the serial engine and once on the sharded
-#                engine, and diffs both against the golden outputs in
-#                testdata/golden/ (byte-identical or the job fails)
+#                at GOMAXPROCS=1 (every sharded run on one worker) and
+#                at GOMAXPROCS=4 (the parallel window merge, even on a
+#                smaller runner), and diffs both against the golden
+#                outputs in testdata/golden/ (byte-identical or the job
+#                fails)
 #   server-soak  `make soak` — >= 64 concurrent client sessions against
 #                an in-process spinsimd session daemon over seeded
 #                fault injection, race-clean, one SPINDDT_LOSS_PCT rate
@@ -136,24 +138,27 @@ bench-baseline:
 # golden refreshes the checked-in figure/table outputs the determinism
 # job diffs against.
 golden:
-	$(GO) run ./cmd/ddtbench $(GOLDEN_ARGS) -engine serial > testdata/golden/ddtbench.txt
+	$(GO) run ./cmd/ddtbench $(GOLDEN_ARGS) > testdata/golden/ddtbench.txt
 
 # plans-golden refreshes the execution-plan snapshot: the disassembled
 # pack/unpack plan and gather resolver of every application datatype.
 plans-golden:
-	$(GO) run ./cmd/ddtbench -fig plans -engine serial > testdata/golden/plans.txt
+	$(GO) run ./cmd/ddtbench -fig plans > testdata/golden/plans.txt
 
-# determinism renders every figure/table on both engines and requires
-# byte-identical output, pinned to the goldens. Scratch renders land in
-# the gitignored out/ directory, never at the repo root.
+# determinism renders every figure/table at two executor widths and
+# requires byte-identical output, pinned to the goldens: GOMAXPROCS=1 runs
+# every sharded simulation on one worker, GOMAXPROCS=4 exercises the
+# parallel window merge even on a smaller machine. Scratch renders land
+# in the gitignored out/ directory, never at the repo root.
 determinism:
 	@mkdir -p out
-	$(GO) run ./cmd/ddtbench $(GOLDEN_ARGS) -engine serial > out/ddtbench-serial.out
-	$(GO) run ./cmd/ddtbench $(GOLDEN_ARGS) -engine sharded > out/ddtbench-sharded.out
-	diff -u testdata/golden/ddtbench.txt out/ddtbench-serial.out
-	diff -u testdata/golden/ddtbench.txt out/ddtbench-sharded.out
-	$(GO) run ./cmd/ddtbench -fig plans -engine serial > out/plans-serial.out
-	$(GO) run ./cmd/ddtbench -fig plans -engine sharded > out/plans-sharded.out
-	diff -u testdata/golden/plans.txt out/plans-serial.out
-	diff -u testdata/golden/plans.txt out/plans-sharded.out
-	@echo "determinism: serial and sharded outputs match the goldens"
+	$(GO) build -o out/ddtbench ./cmd/ddtbench
+	GOMAXPROCS=1 out/ddtbench $(GOLDEN_ARGS) > out/ddtbench-w1.out
+	GOMAXPROCS=4 out/ddtbench $(GOLDEN_ARGS) > out/ddtbench-w4.out
+	diff -u testdata/golden/ddtbench.txt out/ddtbench-w1.out
+	diff -u testdata/golden/ddtbench.txt out/ddtbench-w4.out
+	GOMAXPROCS=1 out/ddtbench -fig plans > out/plans-w1.out
+	GOMAXPROCS=4 out/ddtbench -fig plans > out/plans-w4.out
+	diff -u testdata/golden/plans.txt out/plans-w1.out
+	diff -u testdata/golden/plans.txt out/plans-w4.out
+	@echo "determinism: width-1 and width-4 outputs match the goldens"

@@ -12,11 +12,10 @@ import (
 )
 
 // BackendEnv carries the session configuration a backend needs to execute
-// a flush: the device model, the executor knob and the host CPU profile.
+// a flush: the device model and the host CPU profile.
 type BackendEnv struct {
-	NIC    nic.Config
-	Engine EngineMode
-	Host   hostcpu.Config
+	NIC  nic.Config
+	Host hostcpu.Config
 	// Counters, when non-nil, receives plan-usage tallies (fused CRC
 	// kernels) from backends that exercise them; nil disables counting.
 	Counters *PlanCounters
@@ -121,9 +120,6 @@ func (SimBackend) Flush(env BackendEnv, msgs []BackendMessage) ([]nic.Result, er
 			Arrivals: m.Arrivals,
 		}
 	}
-	if env.Engine == EngineSharded {
-		return nic.ReceiveBatchSharded(env.NIC, batch)
-	}
 	return nic.ReceiveBatch(env.NIC, batch)
 }
 
@@ -155,9 +151,6 @@ func (SimBackend) FlushSends(env BackendEnv, sends []BackendSend) ([]nic.SendRes
 		}
 		batch[i] = sends[i].Msg
 	}
-	if env.Engine == EngineSharded {
-		return nic.SendBatchSharded(env.NIC, batch)
-	}
 	return nic.SendBatch(env.NIC, batch)
 }
 
@@ -179,9 +172,6 @@ func (SimBackend) Transfer(env BackendEnv, xfers []BackendTransfer) ([]nic.SendR
 				Host:   x.Recv.Dst,
 			},
 		}
-	}
-	if env.Engine == EngineSharded {
-		return nic.RunCoupledSharded(env.NIC, env.NIC, pairs)
 	}
 	return nic.RunCoupled(env.NIC, env.NIC, pairs)
 }

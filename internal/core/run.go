@@ -37,10 +37,6 @@ type Request struct {
 	Verify bool
 	// Seed generates the synthetic message payload.
 	Seed int64
-	// Engine selects the executor (serial by default; EngineSharded runs
-	// the NIC and host as separate conservative-lookahead domains with
-	// byte-identical results).
-	Engine EngineMode
 }
 
 // NewRequest returns a Request with the paper's default configuration.
@@ -55,7 +51,6 @@ func NewRequest(s Strategy, typ *ddt.Type, count int) Request {
 		Epsilon:  0.2,
 		Verify:   true,
 		Seed:     1,
-		Engine:   DefaultEngine,
 	}
 }
 
@@ -142,7 +137,7 @@ func (s *Session) Run(req Request) (Result, error) {
 		Gamma:    typ.Gamma(req.Count, req.NIC.Fabric.MTU),
 	}
 
-	env := BackendEnv{NIC: req.NIC, Engine: req.Engine, Host: req.Host}
+	env := BackendEnv{NIC: req.NIC, Host: req.Host}
 
 	switch req.Strategy {
 	case HostUnpack:

@@ -237,7 +237,7 @@ func (ep *Endpoint) flushSendsLocked() error {
 			sends[i].Msg.Ctx = b.off.Ctx
 		}
 	}
-	env := BackendEnv{NIC: ep.sess.cfg.NIC, Engine: ep.sess.cfg.Engine, Host: ep.sess.cfg.Host,
+	env := BackendEnv{NIC: ep.sess.cfg.NIC, Host: ep.sess.cfg.Host,
 		Counters: &ep.sess.caches.counters}
 	results, err := ep.sess.backend.FlushSends(env, sends)
 	if err != nil {

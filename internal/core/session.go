@@ -18,8 +18,7 @@ import (
 var ErrSessionClosed = errors.New("core: session is closed")
 
 // SessionConfig configures a Session: the device and cost models shared by
-// every commit and post, the discrete-event executor, and the backend the
-// posted messages execute on.
+// every commit and post, and the backend the posted messages execute on.
 type SessionConfig struct {
 	NIC  nic.Config
 	Cost CostModel
@@ -28,8 +27,6 @@ type SessionConfig struct {
 	Epsilon float64
 	// PktBufBytes feeds the heuristic's packet-buffer check (0 = off).
 	PktBufBytes int64
-	// Engine selects the discrete-event executor (see Request.Engine).
-	Engine EngineMode
 	// Backend executes posted messages; nil selects SimBackend.
 	Backend Backend
 	// Caches, when non-nil, is a cache set shared with other sessions:
@@ -58,7 +55,6 @@ func NewSessionConfig() SessionConfig {
 		Cost:    DefaultCostModel(),
 		Host:    hostcpu.DefaultConfig(),
 		Epsilon: 0.2,
-		Engine:  DefaultEngine,
 	}
 }
 
@@ -114,7 +110,6 @@ func NewSession(cfg SessionConfig) *Session {
 // RunTransfer wrappers: the simulated backend against the shared default
 // caches, exactly the state those functions used before sessions existed.
 var oneShot = &Session{
-	cfg:     SessionConfig{Engine: DefaultEngine},
 	backend: SimBackend{},
 	caches:  &defaultCaches,
 	handles: make(map[handleID]*TypeHandle),
@@ -556,7 +551,7 @@ func (ep *Endpoint) flushLocked() error {
 			Order:  op.opts.Order,
 		}
 	}
-	env := BackendEnv{NIC: ep.sess.cfg.NIC, Engine: ep.sess.cfg.Engine, Host: ep.sess.cfg.Host,
+	env := BackendEnv{NIC: ep.sess.cfg.NIC, Host: ep.sess.cfg.Host,
 		Counters: &ep.sess.caches.counters}
 	env.NIC.Trace = ep.cfg.Trace // session-level traces are rejected at NewSession
 	release := ep.sess.acquireTrace(ep.cfg.Trace)

@@ -31,8 +31,6 @@ type TransferRequest struct {
 	Epsilon float64
 	Verify  bool
 	Seed    int64
-	// Engine selects the executor (see Request.Engine).
-	Engine EngineMode
 }
 
 // NewTransferRequest returns a TransferRequest with default configuration.
@@ -40,7 +38,7 @@ func NewTransferRequest(send SendStrategy, recv Strategy, typ *ddt.Type, count i
 	return TransferRequest{
 		Send: send, Recv: recv, SendType: typ, Count: count,
 		NIC: nic.DefaultConfig(), Cost: DefaultCostModel(), Host: hostcpu.DefaultConfig(),
-		Epsilon: 0.2, Verify: true, Seed: 1, Engine: DefaultEngine,
+		Epsilon: 0.2, Verify: true, Seed: 1,
 	}
 }
 
@@ -152,7 +150,7 @@ func (s *Session) RunTransfer(req TransferRequest) (TransferResult, error) {
 
 	_, rHi := recvTyp.Footprint(req.Count)
 	dst := getZeroBuf(rHi)
-	env := BackendEnv{NIC: req.NIC, Engine: req.Engine, Host: req.Host}
+	env := BackendEnv{NIC: req.NIC, Host: req.Host}
 	var res TransferResult
 
 	switch req.Recv {

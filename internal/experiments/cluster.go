@@ -2,27 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"spinddt/internal/core"
 	"spinddt/internal/sim"
 )
-
-// clusterWorkers returns the executor width for sharded cluster runs: the
-// serial executor under the serial engine, and a multi-worker executor —
-// at least 4, so the parallel merge path is exercised even on small
-// machines — under the sharded engine. The width never affects results,
-// only wall-clock, so the rendered table is engine-invariant.
-func clusterWorkers() int {
-	if core.DefaultEngine != core.EngineSharded {
-		return 1
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w < 4 {
-		w = 4
-	}
-	return w
-}
 
 // ShardedClusterExchange reports the sharded multi-endpoint experiment:
 // endpoints receivers of the Fig. 13 workload (2 KiB blocks) simulated as
@@ -41,7 +24,7 @@ func ShardedClusterExchange(endpoints int, msgBytes int64) (*Table, error) {
 	for _, s := range []core.Strategy{core.Specialized, core.RWCP, core.ROCP, core.HPULocal} {
 		req := core.NewClusterRequest(s, fig8Vector(2048, msgBytes), 1, endpoints)
 		req.Stagger = 2 * sim.Microsecond
-		req.Workers = clusterWorkers()
+		req.Workers = width()
 		res, err := core.RunCluster(req)
 		if err != nil {
 			return nil, fmt.Errorf("cluster %v: %w", s, err)

@@ -63,13 +63,10 @@ func Fig19FFT2D(n int, nodeCounts []int) ([]FFT2DPoint, *Table, error) {
 		cfg := loggops.FFT2DConfig{
 			N: n, ElemBytes: 16, FlopRate: 6.5e9,
 			Net: loggops.NextGen(),
-		}
-		if core.DefaultEngine == core.EngineSharded {
-			// Large-scale runs opt into the sharded replay: rank-group
-			// domains under lookahead L. The makespan is identical to the
-			// serial replay (loggops.RunSharded); only wall-clock changes.
-			cfg.Domains = 8
-			cfg.Workers = 4
+			// Sharded replay: rank-group domains under lookahead L. The
+			// makespan is identical to the serial replay
+			// (loggops.RunSharded); only wall-clock changes.
+			Domains: 8, Workers: width(),
 		}
 		hostRun := cfg
 		hostRun.UnpackPerMsg = unpack.Time

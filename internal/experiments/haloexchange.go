@@ -161,9 +161,9 @@ func runHalo(typ *ddt.Type, h *haloRing, strategy core.Strategy) (haloStats, err
 	}
 
 	// Build the receive offload once; every (rank, slot) instantiates from
-	// its template. Instantiation is parallelized across the executor's
-	// worker budget — on a warm pool it is pointer pops, cold it clones the
-	// checkpoint working sets, and either way no per-slot rebuild happens.
+	// its template across the sweep pool — on a warm pool it is pointer
+	// pops, cold it clones the checkpoint working sets, and either way no
+	// per-slot rebuild happens.
 	offs := make([]*core.Offload, ranks*haloDirs)
 	offs[0], err = core.BuildOffload(strategy, core.BuildParams{
 		Type: typ, Count: 1,
@@ -173,36 +173,11 @@ func runHalo(typ *ddt.Type, h *haloRing, strategy core.Strategy) (haloStats, err
 	if err != nil {
 		return haloStats{}, fmt.Errorf("halo %v: %w", strategy, err)
 	}
-	workers := clusterWorkers()
-	if workers > len(offs)-1 {
-		workers = len(offs) - 1
-	}
-	if workers > 1 {
-		var wg sync.WaitGroup
-		errs := make([]error, workers)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for i := 1 + w; i < len(offs); i += workers {
-					if offs[i], errs[w] = offs[0].Instantiate(); errs[w] != nil {
-						return
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				return haloStats{}, fmt.Errorf("halo %v: %w", strategy, e)
-			}
-		}
-	} else {
-		for i := 1; i < len(offs); i++ {
-			if offs[i], err = offs[0].Instantiate(); err != nil {
-				return haloStats{}, fmt.Errorf("halo %v: %w", strategy, err)
-			}
-		}
+	if err := sweep(len(offs)-1, func(i int) (err error) {
+		offs[i+1], err = offs[0].Instantiate()
+		return err
+	}); err != nil {
+		return haloStats{}, fmt.Errorf("halo %v: %w", strategy, err)
 	}
 
 	eps := make([]nic.ExchangeEndpoint, ranks)
@@ -225,7 +200,7 @@ func runHalo(typ *ddt.Type, h *haloRing, strategy core.Strategy) (haloStats, err
 		}
 	}
 
-	res, err := nic.RunExchange(eps, clusterWorkers())
+	res, err := nic.RunExchange(eps, width())
 	if err != nil {
 		return haloStats{}, fmt.Errorf("halo %v: %w", strategy, err)
 	}
@@ -339,9 +314,8 @@ func haloSizeLabel(msgBytes int64) string {
 // as a pooled chunk when its injection completes, so sender-side
 // backpressure paces the receivers tick for tick and no per-message wire
 // stream is ever materialized. Results are identical for every executor
-// width and for both engines (the serial executor and the windowed
-// parallel one fire the same event sequences), which the determinism CI
-// job pins.
+// width (the windowed executor fires the same event sequences at width 1
+// and GOMAXPROCS), which the determinism CI job pins.
 func HaloExchange(ranks int, msgBytes int64) (*Table, error) {
 	if ranks < 3 {
 		return nil, fmt.Errorf("halo exchange needs at least 3 ranks, have %d", ranks)

@@ -88,7 +88,7 @@ func runIncast(typ *ddt.Type, senders int, msgBytes, hi int64) (incastStats, err
 		}
 	}
 
-	res, err := nic.RunExchange(eps, clusterWorkers())
+	res, err := nic.RunExchange(eps, width())
 	if err != nil {
 		return incastStats{}, fmt.Errorf("incast: %w", err)
 	}

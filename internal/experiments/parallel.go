@@ -6,7 +6,12 @@ import (
 	"sync/atomic"
 )
 
-// sweep runs fn(0) .. fn(n-1) across a GOMAXPROCS-sized worker pool. Every
+// width is the executor width of every parallel run in this package: the
+// sweep pool and the sharded simulations (exchanges, clusters, the Fig. 19
+// replay). Width never changes a result, only wall-clock.
+func width() int { return runtime.GOMAXPROCS(0) }
+
+// sweep runs fn(0) .. fn(n-1) across a width-sized worker pool. Every
 // index runs exactly once; workers pull indices from a shared counter, so
 // uneven per-index costs balance automatically. The figure sweeps fan
 // independent core.Run simulations through it: each index writes only its
@@ -19,10 +24,7 @@ func sweep(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers := min(width(), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {

@@ -64,51 +64,6 @@ func ReceiveBatch(cfg Config, msgs []BatchMessage) ([]Result, error) {
 	return results, nil
 }
 
-// ReceiveBatchSharded is ReceiveBatch on the sharded engine: the NIC
-// device is one domain and the host another, joined by the completion
-// notifications over the PCIe round trip (see ReceiveArrivalsSharded). The
-// arrival schedules are pre-posted through the same code path as the
-// serial ReceiveBatch, so per-message Results are byte-identical to the
-// serial executor.
-func ReceiveBatchSharded(cfg Config, msgs []BatchMessage) ([]Result, error) {
-	if len(msgs) == 0 {
-		return nil, errors.New("nic: empty batch")
-	}
-	notifyLat := cfg.PCIe.NotifyLatency()
-	if notifyLat <= 0 {
-		return nil, fmt.Errorf("nic: PCIe notify latency %v cannot synchronize a sharded receive", notifyLat)
-	}
-	pe := sim.AcquireParallel(1)
-	defer sim.ReleaseParallel(pe)
-	dev := pe.NewShard("nic", notifyLat)
-	hostShard := pe.NewShard("host", sim.InfiniteLookahead)
-	h := &clusterHost{shard: hostShard, notified: make([]sim.Time, len(msgs))}
-	hostCtx := hostShard.Bind(h)
-
-	rxDev, sims, schedules, err := newBatch(&dev.Engine, cfg, msgs)
-	defer releaseSchedules(schedules)
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range sims {
-		idx, user := int64(i), s.notify
-		s.notify = func(done sim.Time) {
-			if user != nil {
-				user(done)
-			}
-			dev.PostRemote(hostShard, done+notifyLat, kindClusterNotify, hostCtx, idx, 0)
-		}
-		s.postArrivals()
-	}
-	pe.Run()
-	results, err := finishBatch(sims)
-	if err != nil {
-		return nil, err
-	}
-	releaseRxBatch(rxDev, sims)
-	return results, nil
-}
-
 // newBatch builds one shared device plus a message simulation per batch
 // entry on eng, arrival schedules offset by each message's Start (or taken
 // verbatim from the message). It returns the pooled schedule buffers it

@@ -4,20 +4,21 @@ import (
 	"errors"
 	"fmt"
 
-	"spinddt/internal/fabric"
 	"spinddt/internal/portals"
 	"spinddt/internal/sim"
 )
 
-// This file shards the receive model across domains (sim.Shard): a fabric
-// domain that owns the wire and mails packet deliveries to per-endpoint
-// NIC+HPU domains, and a host domain that collects completion
-// notifications over the PCIe round trip. Lookaheads come straight from
-// the link models: fabric.Config.Lookahead (the wire latency) bounds
-// fabric-to-NIC influence, pcie.Config.NotifyLatency bounds NIC-to-host
-// influence. Between synchronization windows the endpoint domains execute
-// in parallel; results are byte-identical to the serial executor by the
-// sharded engine's determinism contract.
+// This file shards the receive of many endpoints across domains
+// (sim.Shard): a fabric domain that owns the wire and mails packet
+// deliveries to per-endpoint NIC+HPU domains, and a host domain that
+// collects completion notifications over the PCIe round trip. Lookaheads
+// come straight from the link models: fabric.Config.Lookahead (the wire
+// latency) bounds fabric-to-NIC influence, pcie.Config.NotifyLatency
+// bounds NIC-to-host influence. Between synchronization windows the
+// endpoint domains execute in parallel; by sim.ParallelEngine's
+// determinism contract the results are byte-identical at every executor
+// width. A single receive needs no domains: Receive and ReceiveBatch run
+// on one engine.
 
 // ClusterEndpoint describes one receiver of a sharded cluster receive.
 type ClusterEndpoint struct {
@@ -184,37 +185,4 @@ func ReceiveCluster(eps []ClusterEndpoint, workers int) (ClusterResult, error) {
 		res.Results[i] = r
 	}
 	return res, nil
-}
-
-// ReceiveArrivalsSharded runs one receive on the sharded engine: a
-// single-message batch through ReceiveBatchSharded — the NIC (inbound,
-// HPUs, DMA) is one domain and the host another, joined by the completion
-// notification over the PCIe round trip. The arrival schedule is
-// pre-posted into the NIC domain through the same code path as the serial
-// ReceiveArrivals, so the NIC domain's sequence numbering — and therefore
-// the Result — is byte-identical to the serial engine; the windowed
-// executor only changes when events run, never their order.
-func ReceiveArrivalsSharded(cfg Config, pt *portals.PT, bits portals.MatchBits, packed, host []byte, arrivals []fabric.Arrival) (Result, error) {
-	results, err := ReceiveBatchSharded(cfg, []BatchMessage{{
-		PT: pt, Bits: bits, Packed: packed, Host: host, Arrivals: arrivals,
-	}})
-	if err != nil {
-		return Result{}, err
-	}
-	return results[0], nil
-}
-
-// ReceiveSharded is Receive on the sharded engine (see
-// ReceiveArrivalsSharded).
-func ReceiveSharded(cfg Config, pt *portals.PT, bits portals.MatchBits, packed, host []byte, order []int) (Result, error) {
-	if len(packed) == 0 {
-		return Result{}, errors.New("nic: empty message")
-	}
-	arrivals, err := cfg.Fabric.AppendSchedule(getArrivalBuf(), int64(len(packed)), 0, order)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := ReceiveArrivalsSharded(cfg, pt, bits, packed, host, arrivals)
-	putArrivalBuf(arrivals)
-	return res, err
 }

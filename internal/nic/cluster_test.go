@@ -136,46 +136,3 @@ func TestClusterPerEndpointTracing(t *testing.T) {
 		t.Fatal("expected an error for endpoints sharing one Trace")
 	}
 }
-
-// TestReceiveShardedMatchesSerial is the single-receive byte-identity
-// check behind core's engine knob: the sharded engine must reproduce the
-// serial engine's Result exactly, for both the handler and RDMA paths.
-func TestReceiveShardedMatchesSerial(t *testing.T) {
-	const msg = 9*2048 + 311
-	packed := randPacked(msg, 7)
-
-	t.Run("handler", func(t *testing.T) {
-		run := func(rx func(Config, *portals.PT, portals.MatchBits, []byte, []byte, []int) (Result, error)) (Result, []byte) {
-			host := make([]byte, msg)
-			pt := newPT(t, &portals.ME{Match: 3, Ctx: passthroughCtx(700*sim.Nanosecond, spin.Policy{DeltaP: 2})})
-			res, err := rx(DefaultConfig(), pt, 3, packed, host, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res, host
-		}
-		serial, hostA := run(Receive)
-		sharded, hostB := run(ReceiveSharded)
-		if !reflect.DeepEqual(serial, sharded) {
-			t.Fatalf("sharded result differs:\nserial:  %+v\nsharded: %+v", serial, sharded)
-		}
-		if !bytes.Equal(hostA, hostB) {
-			t.Fatal("host buffers differ")
-		}
-	})
-
-	t.Run("rdma", func(t *testing.T) {
-		run := func(rx func(Config, *portals.PT, portals.MatchBits, []byte, []byte, []int) (Result, error)) Result {
-			host := make([]byte, msg)
-			pt := newPT(t, &portals.ME{Match: 3, Region: portals.HostRegion{Length: msg}})
-			res, err := rx(DefaultConfig(), pt, 3, packed, host, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return res
-		}
-		if serial, sharded := run(Receive), run(ReceiveSharded); !reflect.DeepEqual(serial, sharded) {
-			t.Fatalf("sharded RDMA result differs:\nserial:  %+v\nsharded: %+v", serial, sharded)
-		}
-	})
-}

@@ -40,11 +40,10 @@ var kindRxArrivalAt = sim.RegisterKind("nic.rxArrivalAt", func(ctx any, a, b int
 })
 
 // newCoupled wires one transfer pair onto a tx and an rx device sharing
-// post (the function delivering arrival events into the receiver's
-// engine). It returns the two message simulations; the caller launches
-// them.
-func newCoupled(txDev *txDevice, rxDev *rxDevice, pair *CoupledMessage,
-	post func(rx *rxSim, at sim.Time, slot int)) (*txSim, *rxSim, error) {
+// one engine: each packet's injection posts its arrival at the receiver a
+// wire latency later. It returns the two message simulations with the
+// sender's launch schedule posted.
+func newCoupled(txDev *txDevice, rxDev *rxDevice, pair *CoupledMessage) (*txSim, *rxSim, error) {
 	if pair.Rx.Arrivals != nil {
 		return nil, nil, errors.New("nic: coupled receive cannot carry an explicit arrival schedule")
 	}
@@ -78,7 +77,8 @@ func newCoupled(txDev *txDevice, rxDev *rxDevice, pair *CoupledMessage,
 		if user != nil {
 			user(pkt, injected)
 		}
-		post(rx, injected+wire, pkt)
+		at := injected + wire
+		rxDev.eng.Post(at, kindRxArrivalAt, rx.self, int64(pkt), int64(at))
 	}
 	tx, err := txDev.newMessage(&m)
 	if err != nil {
@@ -106,68 +106,15 @@ func RunCoupled(txCfg, rxCfg Config, pairs []CoupledMessage) ([]SendResult, []Re
 	if err != nil {
 		return nil, nil, err
 	}
-	post := func(rx *rxSim, at sim.Time, slot int) {
-		eng.Post(at, kindRxArrivalAt, rx.self, int64(slot), int64(at))
-	}
 	txs := make([]*txSim, len(pairs))
 	rxs := make([]*rxSim, len(pairs))
 	for i := range pairs {
-		txs[i], rxs[i], err = newCoupled(txDev, rxDev, &pairs[i], post)
+		txs[i], rxs[i], err = newCoupled(txDev, rxDev, &pairs[i])
 		if err != nil {
 			return nil, nil, fmt.Errorf("nic: transfer %d: %w", i, err)
 		}
 	}
 	eng.Run()
-	return finishCoupled(txs, rxs)
-}
-
-// RunCoupledSharded is RunCoupled on the sharded engine: both devices form
-// one NIC domain (they exchange same-host state: the wire stream the
-// gather fills is the stream the receiver parses) and the host is another,
-// joined by the completion notifications over the PCIe round trip. Results
-// are byte-identical to the serial executor.
-func RunCoupledSharded(txCfg, rxCfg Config, pairs []CoupledMessage) ([]SendResult, []Result, error) {
-	if len(pairs) == 0 {
-		return nil, nil, errors.New("nic: empty transfer batch")
-	}
-	notifyLat := rxCfg.PCIe.NotifyLatency()
-	if notifyLat <= 0 {
-		return nil, nil, fmt.Errorf("nic: PCIe notify latency %v cannot synchronize a sharded transfer", notifyLat)
-	}
-	pe := sim.AcquireParallel(1)
-	defer sim.ReleaseParallel(pe)
-	dev := pe.NewShard("nic", notifyLat)
-	hostShard := pe.NewShard("host", sim.InfiniteLookahead)
-	h := &clusterHost{shard: hostShard, notified: make([]sim.Time, len(pairs))}
-	hostCtx := hostShard.Bind(h)
-
-	txDev, err := newTxDevice(&dev.Engine, txCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	rxDev, err := newRxDevice(&dev.Engine, rxCfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	post := func(rx *rxSim, at sim.Time, slot int) {
-		dev.Post(at, kindRxArrivalAt, rx.self, int64(slot), int64(at))
-	}
-	txs := make([]*txSim, len(pairs))
-	rxs := make([]*rxSim, len(pairs))
-	for i := range pairs {
-		txs[i], rxs[i], err = newCoupled(txDev, rxDev, &pairs[i], post)
-		if err != nil {
-			return nil, nil, fmt.Errorf("nic: transfer %d: %w", i, err)
-		}
-		idx, user := int64(i), rxs[i].notify
-		rxs[i].notify = func(done sim.Time) {
-			if user != nil {
-				user(done)
-			}
-			dev.PostRemote(hostShard, done+notifyLat, kindClusterNotify, hostCtx, idx, 0)
-		}
-	}
-	pe.Run()
 	return finishCoupled(txs, rxs)
 }
 

@@ -505,44 +505,6 @@ func SendBatch(cfg Config, msgs []TxMessage) ([]SendResult, error) {
 	return results, nil
 }
 
-// SendBatchSharded is SendBatch on the sharded engine: the NIC device is
-// one domain and the host another, joined by the injection-complete
-// notifications over the PCIe round trip. Per-message results are
-// byte-identical to the serial executor.
-func SendBatchSharded(cfg Config, msgs []TxMessage) ([]SendResult, error) {
-	if len(msgs) == 0 {
-		return nil, errors.New("nic: empty batch")
-	}
-	notifyLat := cfg.PCIe.NotifyLatency()
-	if notifyLat <= 0 {
-		return nil, fmt.Errorf("nic: PCIe notify latency %v cannot synchronize a sharded send", notifyLat)
-	}
-	pe := sim.AcquireParallel(1)
-	defer sim.ReleaseParallel(pe)
-	dev := pe.NewShard("nic", notifyLat)
-	hostShard := pe.NewShard("host", sim.InfiniteLookahead)
-	h := &clusterHost{shard: hostShard, notified: make([]sim.Time, len(msgs))}
-	hostCtx := hostShard.Bind(h)
-
-	txDev, sims, err := newTxBatch(&dev.Engine, cfg, msgs)
-	if err != nil {
-		return nil, err
-	}
-	for i, s := range sims {
-		idx := int64(i)
-		s.notifyDone = func(at sim.Time) {
-			dev.PostRemote(hostShard, at+notifyLat, kindClusterNotify, hostCtx, idx, 0)
-		}
-	}
-	pe.Run()
-	results, err := finishTxBatch(sims)
-	if err != nil {
-		return nil, err
-	}
-	releaseTxBatch(txDev, sims)
-	return results, nil
-}
-
 // newTxBatch builds one shared device plus a message simulation per batch
 // entry on eng and pre-posts every launch schedule. The device is drawn
 // from the pool; a successful batch hands it back via releaseTxBatch.

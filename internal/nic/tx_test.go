@@ -93,31 +93,6 @@ func TestSendBatchDisjointMatchesSolo(t *testing.T) {
 	}
 }
 
-// TestSendBatchShardedIdentical pins the sharded executor's determinism
-// contract on the send side.
-func TestSendBatchShardedIdentical(t *testing.T) {
-	cfg := DefaultConfig()
-	msgs := func() []TxMessage {
-		return []TxMessage{
-			{Kind: TxProcessPut, MsgBytes: 1 << 20, Ctx: gatherCtx(700 * sim.Nanosecond)},
-			{Kind: TxPacked, MsgBytes: 512 << 10, PackTime: 20 * sim.Microsecond, Start: sim.Microsecond},
-		}
-	}
-	serial, err := SendBatch(cfg, msgs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := SendBatchSharded(cfg, msgs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial {
-		if serial[i].Injected != sharded[i].Injected || serial[i].HPUBusy != sharded[i].HPUBusy {
-			t.Fatalf("message %d: serial %+v sharded %+v", i, serial[i], sharded[i])
-		}
-	}
-}
-
 // TestSendBatchNICMemory: gather contexts of a batch must fit NIC memory
 // together; one shared context is counted once.
 func TestSendBatchNICMemory(t *testing.T) {
@@ -210,34 +185,6 @@ func TestRunCoupledMatchesDecoupled(t *testing.T) {
 		if hostA[i] != hostB[i] {
 			t.Fatalf("buffers differ at %d", i)
 		}
-	}
-}
-
-// TestRunCoupledShardedIdentical: the coupled transfer renders identically
-// on the sharded engine.
-func TestRunCoupledShardedIdentical(t *testing.T) {
-	cfg := DefaultConfig()
-	msg := int64(256 << 10)
-	packed := make([]byte, msg)
-	run := func(f func(Config, Config, []CoupledMessage) ([]SendResult, []Result, error)) (SendResult, Result) {
-		pt, err := rdmaPT(msg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		host := make([]byte, msg)
-		sends, recvs, err := f(cfg, cfg, []CoupledMessage{{
-			Tx: TxMessage{Kind: TxProcessPut, MsgBytes: msg, Ctx: gatherCtx(400 * sim.Nanosecond)},
-			Rx: BatchMessage{PT: pt, Bits: 1, Packed: packed, Host: host},
-		}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return sends[0], recvs[0]
-	}
-	ss, sr := run(RunCoupled)
-	ps, pr := run(RunCoupledSharded)
-	if ss.Injected != ps.Injected || sr.Done != pr.Done || sr.FirstByte != pr.FirstByte {
-		t.Fatalf("serial (%v, %+v) != sharded (%v, %+v)", ss.Injected, sr, ps.Injected, pr)
 	}
 }
 

@@ -73,13 +73,24 @@ func (s *Shard) PostRemote(dst *Shard, t Time, k Kind, c Ctx, a, b int64) {
 // flushed in a deterministic merge order, so the firing sequence of every
 // shard is independent of the worker count and of OS scheduling.
 type ParallelEngine struct {
+	// shards are the live domains, in creation order. ReleaseParallel
+	// truncates the slice but keeps the reset shards in its backing array,
+	// and NewShard reuses them in the same order: the domain created i-th
+	// gets the i-th shard of the previous run, whose queue storage is
+	// already grown to that role's size.
 	shards  []*Shard
-	spare   []*Shard // reset shards kept for reuse (AcquireParallel pooling)
 	workers int
 	horizon Time
 	windows uint64
 	scratch []xmsg
 	aux     []xmsg // merge buffer of sortXmsgs, reused across windows
+
+	// Window dispatch of the parallel executor: Run parks its helper
+	// goroutines on work between windows; next hands out shard indices
+	// and wg counts helpers still draining (see runWindow).
+	work chan Time
+	next atomic.Int64
+	wg   sync.WaitGroup
 }
 
 // NewParallel returns an empty sharded simulation executed by up to
@@ -97,7 +108,7 @@ func NewParallel(workers int) *ParallelEngine {
 // parallelPool recycles ParallelEngines together with their Shard storage
 // (each shard's calendar queue, context table and outbox rows), the
 // sharded-engine counterpart of enginePool: a steady stream of sharded
-// simulations — `-engine sharded` figure sweeps run one per message —
+// simulations — the exchange figures run one per strategy and rank count —
 // stops re-allocating per-shard queue storage once the pooled engines have
 // warmed up.
 var parallelPool = sync.Pool{New: func() any { return &ParallelEngine{} }}
@@ -123,7 +134,6 @@ func ReleaseParallel(p *ParallelEngine) {
 		for i := range s.outbox {
 			s.outbox[i] = s.outbox[i][:0]
 		}
-		p.spare = append(p.spare, s)
 	}
 	p.shards = p.shards[:0]
 	p.horizon = 0
@@ -141,14 +151,15 @@ func (p *ParallelEngine) NewShard(name string, lookahead Time) *Shard {
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("sim: shard %q lookahead %v must be positive", name, lookahead))
 	}
+	id := len(p.shards)
 	var s *Shard
-	if n := len(p.spare); n > 0 {
-		s = p.spare[n-1]
-		p.spare = p.spare[:n-1]
-		s.id, s.name, s.lookahead, s.parent = len(p.shards), name, lookahead, p
-	} else {
-		s = &Shard{id: len(p.shards), name: name, lookahead: lookahead, parent: p}
+	if id < cap(p.shards) {
+		s = p.shards[:id+1][id] // the reset shard of a previous run, or nil
 	}
+	if s == nil {
+		s = &Shard{}
+	}
+	s.id, s.name, s.lookahead, s.parent = id, name, lookahead, p
 	p.shards = append(p.shards, s)
 	for _, sh := range p.shards {
 		for len(sh.outbox) < len(p.shards) {
@@ -291,6 +302,11 @@ func (p *ParallelEngine) lbts() (Time, bool) {
 // Run executes the sharded simulation to completion and returns the
 // makespan: the latest timestamp any shard fired an event at.
 func (p *ParallelEngine) Run() Time {
+	helpers := min(p.workers, len(p.shards)) - 1
+	if helpers > 0 {
+		p.startHelpers(helpers)
+		defer p.stopHelpers(helpers)
+	}
 	for {
 		p.flush()
 		horizon, ok := p.lbts()
@@ -299,7 +315,7 @@ func (p *ParallelEngine) Run() Time {
 		}
 		p.horizon = horizon
 		p.windows++
-		p.runWindow(horizon)
+		p.runWindow(horizon, helpers)
 	}
 	var makespan Time
 	for _, s := range p.shards {
@@ -310,35 +326,62 @@ func (p *ParallelEngine) Run() Time {
 	return makespan
 }
 
+// startHelpers starts the goroutines that share windows with Run's own:
+// they live for one Run, parked on the work channel between windows, so a
+// window costs one channel hand-off per helper and no allocation.
+func (p *ParallelEngine) startHelpers(helpers int) {
+	p.work = make(chan Time)
+	for range helpers {
+		go p.helper(p.work)
+	}
+}
+
+// stopHelpers ends the helpers and waits until each has exited: pooled
+// engines must not keep goroutines parked on them. It also runs when a
+// window panics, after the helpers finished their part of it.
+func (p *ParallelEngine) stopHelpers(helpers int) {
+	p.wg.Add(helpers)
+	close(p.work)
+	p.wg.Wait()
+}
+
+// helper drains shards for each window horizon it receives and marks the
+// window done; a closed channel marks the end of the Run.
+func (p *ParallelEngine) helper(work <-chan Time) {
+	for horizon := range work {
+		p.drain(horizon)
+		p.wg.Done()
+	}
+	p.wg.Done()
+}
+
 // runWindow fires, in every shard, the local events with timestamps
 // strictly below horizon. Shards share no mutable state (outbox rows are
 // written only by their owner), so the executor is free to run them on any
 // worker in any order; the result is identical to the serial executor.
-func (p *ParallelEngine) runWindow(horizon Time) {
-	if p.workers <= 1 || len(p.shards) <= 1 {
+func (p *ParallelEngine) runWindow(horizon Time, helpers int) {
+	if helpers == 0 {
 		for _, s := range p.shards {
 			s.runBefore(horizon)
 		}
 		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	workers := p.workers
-	if workers > len(p.shards) {
-		workers = len(p.shards)
+	p.next.Store(0)
+	p.wg.Add(helpers)
+	for range helpers {
+		p.work <- horizon
 	}
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(p.shards) {
-					return
-				}
-				p.shards[i].runBefore(horizon)
-			}
-		}()
+	p.drain(horizon)
+	p.wg.Wait()
+}
+
+// drain runs shards claimed from the shared index until none is left.
+func (p *ParallelEngine) drain(horizon Time) {
+	for {
+		i := int(p.next.Add(1)) - 1
+		if i >= len(p.shards) {
+			return
+		}
+		p.shards[i].runBefore(horizon)
 	}
-	wg.Wait()
 }

@@ -123,43 +123,58 @@ func TestShardMergeOrderProperty(t *testing.T) {
 	}
 }
 
+// treeRec is one fired event of TestShardSingleMatchesEngine's workload.
+type treeRec struct {
+	at Time
+	a  int64
+}
+
+// tree is TestShardSingleMatchesEngine's model: an event of depth d > 0
+// fans out into a depth d-1 and a depth 0 event, 100*d picoseconds later.
+type tree struct {
+	eng   *Engine
+	trace []treeRec
+}
+
+var kindTree Kind
+
+func init() {
+	kindTree = RegisterKind("sim.testTree", func(ctx any, depth, _ int64) {
+		tr := ctx.(*tree)
+		now := tr.eng.Now()
+		tr.trace = append(tr.trace, treeRec{at: now, a: depth})
+		if depth > 0 {
+			tr.eng.Post(now+Time(100*depth), kindTree, 0, depth-1, 0)
+			tr.eng.Post(now+Time(100*depth), kindTree, 0, 0, 0)
+		}
+	})
+}
+
+// seedTree binds a tree model as context 0 of eng and posts its roots.
+func seedTree(eng *Engine) *tree {
+	tr := &tree{eng: eng}
+	eng.Bind(tr)
+	eng.Post(5, kindTree, 0, 4, 0)
+	eng.Post(5, kindTree, 0, 2, 0)
+	eng.Post(900, kindTree, 0, 1, 0)
+	return tr
+}
+
 // TestShardSingleMatchesEngine checks that a one-shard ParallelEngine is
 // observationally identical to a plain Engine: same firing sequence, same
 // makespan, even though execution is chopped into windows.
 func TestShardSingleMatchesEngine(t *testing.T) {
-	type rec struct {
-		at Time
-		a  int64
-	}
-	var plain, sharded []rec
-
-	build := func(post func(t Time, fn func()), now func() Time, record *[]rec) {
-		var chain func(depth int64) func()
-		chain = func(depth int64) func() {
-			return func() {
-				*record = append(*record, rec{at: now(), a: depth})
-				if depth > 0 {
-					post(now()+Time(100*depth), chain(depth-1))
-					post(now()+Time(100*depth), chain(0))
-				}
-			}
-		}
-		post(5, chain(4))
-		post(5, chain(2))
-		post(900, chain(1))
-	}
-
 	eng := New()
-	build(eng.At, eng.Now, &plain)
+	plain := seedTree(eng)
 	plainEnd := eng.Run()
 
 	pe := NewParallel(4)
 	s := pe.NewShard("solo", 50)
-	build(s.At, s.Now, &sharded)
+	sharded := seedTree(&s.Engine)
 	shardedEnd := pe.Run()
 
-	if !reflect.DeepEqual(plain, sharded) {
-		t.Fatalf("sharded single-domain trace differs from plain engine:\nplain:   %v\nsharded: %v", plain, sharded)
+	if !reflect.DeepEqual(plain.trace, sharded.trace) {
+		t.Fatalf("sharded single-domain trace differs from plain engine:\nplain:   %v\nsharded: %v", plain.trace, sharded.trace)
 	}
 	if plainEnd != shardedEnd {
 		t.Fatalf("makespan: plain %v, sharded %v", plainEnd, shardedEnd)
@@ -194,6 +209,18 @@ func TestShardDeterministicWindows(t *testing.T) {
 	}
 }
 
+// violator posts a cross-shard event only 1 tick ahead although its
+// shard declared a lookahead of 1000.
+type violator struct {
+	from, to *Shard
+	toCtx    Ctx
+}
+
+var kindViolate = RegisterKind("sim.testViolate", func(ctx any, _, _ int64) {
+	v := ctx.(*violator)
+	v.from.PostRemote(v.to, v.from.Now()+1, kindRecord, v.toCtx, 0, 0)
+})
+
 // TestShardLookaheadViolationPanics checks the protocol guard: posting a
 // cross-shard event inside the current window is a model bug and must not
 // be silently reordered.
@@ -206,11 +233,8 @@ func TestShardLookaheadViolationPanics(t *testing.T) {
 	pe := NewParallel(1)
 	a := pe.NewShard("a", 1000)
 	b := pe.NewShard("b", 1000)
-	bc := b.Bind(func() {})
-	a.At(500, func() {
-		// Declared lookahead 1000, but posts only 1 tick ahead.
-		a.PostRemote(b, a.Now()+1, KindFunc, bc, 0, 0)
-	})
+	v := &violator{from: a, to: b, toCtx: b.Bind(&recorder{eng: &b.Engine})}
+	a.Post(500, kindViolate, a.Bind(v), 0, 0)
 	pe.Run()
 }
 
@@ -253,5 +277,59 @@ func TestShardRemoteToSelf(t *testing.T) {
 	pe.Run()
 	if !sc.fired {
 		t.Fatal("self-post chain never completed")
+	}
+}
+
+// pinger bounces one event between two shards: every hop is a cross-shard
+// post exactly one lookahead ahead, so each hop is one window.
+type pinger struct {
+	self, peer *Shard
+}
+
+var kindPing Kind
+
+func init() {
+	kindPing = RegisterKind("sim.testPing", func(ctx any, hops, _ int64) {
+		p := ctx.(*pinger)
+		if hops > 0 {
+			p.self.PostRemote(p.peer, p.self.Now()+100, kindPing, 0, hops-1, 0)
+		}
+	})
+}
+
+// TestParallelWindowsDoNotAllocate checks that the parallel executor's
+// per-window dispatch is allocation-free: the allocations of a width-2 Run
+// are the same for 10 windows and for 1000.
+func TestParallelWindowsDoNotAllocate(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	allocs := func(hops int64) (float64, uint64) {
+		pe := NewParallel(2)
+		a := pe.NewShard("a", 100)
+		b := pe.NewShard("b", 100)
+		// The widest buckets keep every run in bucket storage the
+		// warm-up run already grew.
+		a.SetEventSpacing(1 << calShiftMax)
+		b.SetEventSpacing(1 << calShiftMax)
+		a.Bind(&pinger{self: a, peer: b})
+		b.Bind(&pinger{self: b, peer: a})
+		var windows uint64
+		n := testing.AllocsPerRun(20, func() {
+			start := a.Now() + 1
+			before := pe.Windows()
+			a.Post(start, kindPing, 0, hops, 0)
+			pe.Run()
+			windows = pe.Windows() - before
+		})
+		return n, windows
+	}
+	few, fewWindows := allocs(10)
+	many, manyWindows := allocs(1000)
+	if manyWindows < 100*fewWindows/2 {
+		t.Fatalf("workload ran %d and %d windows; want ~100x more in the long run", fewWindows, manyWindows)
+	}
+	if many > few {
+		t.Fatalf("width-2 Run allocates %v over %d windows but %v over %d: per-window allocation", few, fewWindows, many, manyWindows)
 	}
 }

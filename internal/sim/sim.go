@@ -37,10 +37,7 @@
 // into a jump table of handlers registered with RegisterKind at package
 // init), a context handle (Engine.Bind) and two scalar arguments. Posting
 // one performs zero heap allocations, and the queued event is pointer-free
-// so queue traffic incurs no GC write barriers. At and After remain as
-// thin compatibility wrappers that bind a func() and dispatch it through
-// the same table, for callers and tests that do not need the
-// allocation-free path.
+// so queue traffic incurs no GC write barriers.
 //
 // # Sharded parallel execution
 //
@@ -133,10 +130,6 @@ type Kind uint8
 // buckets costs plain memmoves, with no GC write barriers.
 type Ctx int32
 
-// KindFunc is the reserved compatibility kind: its context is a func()
-// scheduled through At or After.
-const KindFunc Kind = 0
-
 // HandlerFunc executes one typed event. ctx and the two scalars are
 // whatever the scheduler passed to Post.
 type HandlerFunc func(ctx any, a, b int64)
@@ -144,13 +137,8 @@ type HandlerFunc func(ctx any, a, b int64)
 var (
 	kindTable [256]HandlerFunc
 	kindNames [256]string
-	kindCount = 1 // slot 0 is KindFunc
+	kindCount = 1 // slot 0 stays empty: the zero Kind names no handler
 )
-
-func init() {
-	kindTable[KindFunc] = func(ctx any, _, _ int64) { ctx.(func())() }
-	kindNames[KindFunc] = "sim.func"
-}
 
 // RegisterKind installs a typed event handler in the global jump table and
 // returns its Kind. Registration must happen at package init time (the
@@ -173,12 +161,11 @@ func RegisterKind(name string, fn HandlerFunc) Kind {
 // Engine is a single-threaded discrete-event simulator. The zero value is
 // ready to use.
 type Engine struct {
-	now      Time
-	nextSeq  uint64
-	fired    uint64
-	ctxs     []any
-	funcFree []Ctx // recycled context slots of fired At/After closures
-	queue    calQueue
+	now     Time
+	nextSeq uint64
+	fired   uint64
+	ctxs    []any
+	queue   calQueue
 }
 
 // New returns a fresh simulation engine at time zero.
@@ -207,7 +194,6 @@ func (e *Engine) Reset() {
 		e.ctxs[i] = nil
 	}
 	e.ctxs = e.ctxs[:0]
-	e.funcFree = e.funcFree[:0]
 	e.now = 0
 	e.nextSeq = 0
 	e.fired = 0
@@ -262,31 +248,6 @@ func (e *Engine) Post(t Time, k Kind, c Ctx, a, b int64) {
 	e.nextSeq++
 }
 
-// bindFunc binds an At/After closure, reusing the slot of a previously
-// fired closure so long-running engines stay O(pending) in context-table
-// size, matching the old heap's release-on-pop behaviour.
-func (e *Engine) bindFunc(fn func()) Ctx {
-	if n := len(e.funcFree); n > 0 {
-		c := e.funcFree[n-1]
-		e.funcFree = e.funcFree[:n-1]
-		e.ctxs[c] = fn
-		return c
-	}
-	return e.Bind(fn)
-}
-
-// At schedules fn to run at absolute time t. It is the compatibility
-// wrapper over the typed path; the closure is bound as the event context.
-func (e *Engine) At(t Time, fn func()) { e.Post(t, KindFunc, e.bindFunc(fn), 0, 0) }
-
-// After schedules fn to run delay picoseconds from now.
-func (e *Engine) After(delay Time, fn func()) {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	e.Post(e.now+delay, KindFunc, e.bindFunc(fn), 0, 0)
-}
-
 // runBefore executes events with timestamps strictly below limit,
 // including events those executions schedule below the limit. It is the
 // window step of the sharded executor: the clock is left at the last fired
@@ -326,12 +287,5 @@ func (e *Engine) step() {
 	ev := e.queue.pop()
 	e.now = ev.at
 	e.fired++
-	ctx := e.ctxs[ev.ctx]
-	if ev.kind == KindFunc {
-		// Release the fired closure and recycle its slot (the typed path
-		// binds long-lived model objects once; only closures churn).
-		e.ctxs[ev.ctx] = nil
-		e.funcFree = append(e.funcFree, ev.ctx)
-	}
-	kindTable[ev.kind](ctx, ev.a, ev.b)
+	kindTable[ev.kind](e.ctxs[ev.ctx], ev.a, ev.b)
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -37,50 +38,83 @@ func TestTimeString(t *testing.T) {
 	}
 }
 
-func TestEngineOrdering(t *testing.T) {
+// recorder is the typed-event context of the engine tests: every event
+// fired through it appends its a argument to fired.
+type recorder struct {
+	eng   *Engine
+	fired []int64
+}
+
+// Test kinds on a *recorder context:
+//   - kindRecord records a;
+//   - kindSpawn records a and, when b is nonzero, posts kindRecord(b) at
+//     the current time;
+//   - kindChain records b and, while b > 1, reposts itself a picoseconds
+//     later with b-1.
+var kindRecord, kindSpawn, kindChain Kind
+
+func init() {
+	kindRecord = RegisterKind("sim.testRecord", func(ctx any, a, _ int64) {
+		r := ctx.(*recorder)
+		r.fired = append(r.fired, a)
+	})
+	kindSpawn = RegisterKind("sim.testSpawn", func(ctx any, a, b int64) {
+		r := ctx.(*recorder)
+		r.fired = append(r.fired, a)
+		if b != 0 {
+			r.eng.Post(r.eng.Now(), kindRecord, 0, b, 0)
+		}
+	})
+	kindChain = RegisterKind("sim.testChain", func(ctx any, a, b int64) {
+		r := ctx.(*recorder)
+		r.fired = append(r.fired, b)
+		if b > 1 {
+			r.eng.Post(r.eng.Now()+Time(a), kindChain, 0, a, b-1)
+		}
+	})
+}
+
+// newRecorder returns an engine whose context handle 0 is a recorder.
+func newRecorder() (*Engine, *recorder) {
 	e := New()
-	var order []int
-	e.After(30, func() { order = append(order, 3) })
-	e.After(10, func() { order = append(order, 1) })
-	e.After(20, func() { order = append(order, 2) })
+	r := &recorder{eng: e}
+	e.Bind(r)
+	return e, r
+}
+
+func TestEngineOrdering(t *testing.T) {
+	e, r := newRecorder()
+	e.Post(30, kindRecord, 0, 3, 0)
+	e.Post(10, kindRecord, 0, 1, 0)
+	e.Post(20, kindRecord, 0, 2, 0)
 	end := e.Run()
 	if end != 30 {
 		t.Fatalf("end = %v, want 30ps", int64(end))
 	}
-	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
-		t.Fatalf("order = %v", order)
+	if !slices.Equal(r.fired, []int64{1, 2, 3}) {
+		t.Fatalf("order = %v", r.fired)
 	}
 }
 
 func TestEngineFIFOTieBreak(t *testing.T) {
-	e := New()
-	var order []int
+	e, r := newRecorder()
 	for i := 0; i < 100; i++ {
-		i := i
-		e.At(42, func() { order = append(order, i) })
+		e.Post(42, kindRecord, 0, int64(i), 0)
 	}
 	e.Run()
-	for i, v := range order {
-		if v != i {
+	for i, v := range r.fired {
+		if v != int64(i) {
 			t.Fatalf("tie-broken order[%d] = %d", i, v)
 		}
 	}
 }
 
 func TestEngineNestedScheduling(t *testing.T) {
-	e := New()
-	hits := 0
-	var chain func()
-	chain = func() {
-		hits++
-		if hits < 5 {
-			e.After(7, chain)
-		}
-	}
-	e.After(7, chain)
+	e, r := newRecorder()
+	e.Post(7, kindChain, 0, 7, 5)
 	end := e.Run()
-	if hits != 5 {
-		t.Fatalf("hits = %d", hits)
+	if len(r.fired) != 5 {
+		t.Fatalf("hits = %d", len(r.fired))
 	}
 	if end != 35 {
 		t.Fatalf("end = %d", int64(end))
@@ -91,14 +125,13 @@ func TestEngineNestedScheduling(t *testing.T) {
 }
 
 func TestEngineRunUntil(t *testing.T) {
-	e := New()
-	ran := 0
-	e.At(10, func() { ran++ })
-	e.At(20, func() { ran++ })
-	e.At(30, func() { ran++ })
+	e, r := newRecorder()
+	e.Post(10, kindRecord, 0, 1, 0)
+	e.Post(20, kindRecord, 0, 2, 0)
+	e.Post(30, kindRecord, 0, 3, 0)
 	e.RunUntil(20)
-	if ran != 2 {
-		t.Fatalf("ran = %d, want 2", ran)
+	if len(r.fired) != 2 {
+		t.Fatalf("ran = %d, want 2", len(r.fired))
 	}
 	if e.Now() != 20 {
 		t.Fatalf("now = %v", e.Now())
@@ -107,8 +140,8 @@ func TestEngineRunUntil(t *testing.T) {
 		t.Fatalf("pending = %d", e.Pending())
 	}
 	e.Run()
-	if ran != 3 {
-		t.Fatalf("ran = %d, want 3", ran)
+	if len(r.fired) != 3 {
+		t.Fatalf("ran = %d, want 3", len(r.fired))
 	}
 }
 
@@ -118,32 +151,29 @@ func TestEngineRunUntil(t *testing.T) {
 // exactly at the deadline, and a repeated RunUntil with the same deadline
 // is a no-op that still accepts new same-time work.
 func TestEngineRunUntilDeadlineDrain(t *testing.T) {
-	e := New()
-	var fired []int
-	e.At(10, func() { fired = append(fired, 1) })
-	e.At(20, func() {
-		fired = append(fired, 2)
-		// Scheduled at the deadline while executing a deadline event: must
-		// still run within this RunUntil, after its scheduler (seq order).
-		e.At(20, func() { fired = append(fired, 3) })
-	})
+	e, r := newRecorder()
+	e.Post(10, kindRecord, 0, 1, 0)
+	// Event 2 posts event 3 at the deadline while executing a deadline
+	// event: it must still run within this RunUntil, after its scheduler
+	// (seq order).
+	e.Post(20, kindSpawn, 0, 2, 3)
 	if end := e.RunUntil(20); end != 20 {
 		t.Fatalf("end = %v, want 20", int64(end))
 	}
-	if len(fired) != 3 || fired[0] != 1 || fired[1] != 2 || fired[2] != 3 {
-		t.Fatalf("fired = %v", fired)
+	if !slices.Equal(r.fired, []int64{1, 2, 3}) {
+		t.Fatalf("fired = %v", r.fired)
 	}
 	if e.Now() != 20 || e.Pending() != 0 {
 		t.Fatalf("now = %v pending = %d", e.Now(), e.Pending())
 	}
-	if end := e.RunUntil(20); end != 20 || len(fired) != 3 {
-		t.Fatalf("second RunUntil: end = %v fired = %v", int64(end), fired)
+	if end := e.RunUntil(20); end != 20 || len(r.fired) != 3 {
+		t.Fatalf("second RunUntil: end = %v fired = %v", int64(end), r.fired)
 	}
 	// The clock sits exactly at the deadline, so scheduling more work at
 	// the deadline is legal and a further RunUntil picks it up.
-	e.At(20, func() { fired = append(fired, 4) })
-	if end := e.RunUntil(20); end != 20 || len(fired) != 4 || fired[3] != 4 {
-		t.Fatalf("third RunUntil: end = %v fired = %v", int64(end), fired)
+	e.Post(20, kindRecord, 0, 4, 0)
+	if end := e.RunUntil(20); end != 20 || !slices.Equal(r.fired, []int64{1, 2, 3, 4}) {
+		t.Fatalf("third RunUntil: end = %v fired = %v", int64(end), r.fired)
 	}
 }
 
@@ -151,86 +181,69 @@ func TestEngineRunUntilDeadlineDrain(t *testing.T) {
 // the deadline, the clock still advances to the deadline; when events
 // remain beyond it, they stay queued.
 func TestEngineRunUntilAdvancesPastLastEvent(t *testing.T) {
-	e := New()
-	ran := 0
-	e.At(5, func() { ran++ })
-	e.At(30, func() { ran++ })
-	if end := e.RunUntil(20); end != 20 || ran != 1 {
-		t.Fatalf("end = %v ran = %d", int64(end), ran)
+	e, r := newRecorder()
+	e.Post(5, kindRecord, 0, 1, 0)
+	e.Post(30, kindRecord, 0, 2, 0)
+	if end := e.RunUntil(20); end != 20 || len(r.fired) != 1 {
+		t.Fatalf("end = %v ran = %d", int64(end), len(r.fired))
 	}
 	if e.Pending() != 1 {
 		t.Fatalf("pending = %d", e.Pending())
 	}
-	if end := e.Run(); end != 30 || ran != 2 {
-		t.Fatalf("end = %v ran = %d", int64(end), ran)
-	}
-}
-
-// TestEngineClosureSlotsRecycled: firing an At/After closure releases its
-// context-table slot, so a long run of sequential closures keeps the table
-// O(pending) instead of O(total events).
-func TestEngineClosureSlotsRecycled(t *testing.T) {
-	e := New()
-	count := 0
-	var chain func()
-	chain = func() {
-		count++
-		if count < 10000 {
-			e.After(10, chain)
-		}
-	}
-	e.After(0, chain)
-	e.Run()
-	if count != 10000 {
-		t.Fatalf("count = %d", count)
-	}
-	if len(e.ctxs) > 8 {
-		t.Fatalf("context table grew to %d entries for sequential closures", len(e.ctxs))
+	if end := e.Run(); end != 30 || len(r.fired) != 2 {
+		t.Fatalf("end = %v ran = %d", int64(end), len(r.fired))
 	}
 }
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
-	e := New()
-	e.At(100, func() {})
+	e, _ := newRecorder()
+	e.Post(100, kindRecord, 0, 1, 0)
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	e.At(50, func() {})
+	e.Post(50, kindRecord, 0, 2, 0)
 }
 
-func TestEngineNegativeDelayPanics(t *testing.T) {
-	e := New()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("negative delay did not panic")
+// spawner drives TestEngineMonotoneClock: every event checks the clock
+// and, until the budget is spent, posts a follow-up a random delay later.
+type spawner struct {
+	t     *testing.T
+	eng   *Engine
+	rng   *rand.Rand
+	last  Time
+	count int
+}
+
+var kindRandomSpawn Kind
+
+func init() {
+	kindRandomSpawn = RegisterKind("sim.testRandomSpawn", func(ctx any, _, _ int64) {
+		s := ctx.(*spawner)
+		if s.eng.Now() < s.last {
+			s.t.Fatalf("clock went backwards: %v after %v", s.eng.Now(), s.last)
 		}
-	}()
-	e.After(-1, func() {})
+		s.last = s.eng.Now()
+		s.count++
+		if s.count < 2000 {
+			s.eng.Post(s.eng.Now()+Time(s.rng.Intn(100)), kindRandomSpawn, 0, 0, 0)
+		}
+	})
 }
 
 func TestEngineMonotoneClock(t *testing.T) {
 	e := New()
-	rng := rand.New(rand.NewSource(1))
-	last := Time(-1)
-	var spawn func()
-	count := 0
-	spawn = func() {
-		if e.Now() < last {
-			t.Fatalf("clock went backwards: %v after %v", e.Now(), last)
-		}
-		last = e.Now()
-		count++
-		if count < 2000 {
-			e.After(Time(rng.Intn(100)), spawn)
-		}
-	}
+	s := &spawner{t: t, eng: e, rng: rand.New(rand.NewSource(1)), last: -1}
+	e.Bind(s)
 	for i := 0; i < 10; i++ {
-		e.After(Time(rng.Intn(1000)), spawn)
+		e.Post(Time(s.rng.Intn(1000)), kindRandomSpawn, 0, 0, 0)
 	}
 	e.Run()
+	if s.count < 2000 {
+		t.Fatalf("fired %d events, want at least 2000", s.count)
+	}
 }
 
 func TestServerSerializes(t *testing.T) {
